@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the building blocks whose cost the
 // paper argues must stay negligible (§V-B model choice, §VII-E):
 //  * STM primitives: transactional read/write, top-level commit, nested
-//    spawn/merge;
+//    spawn/merge, nested reads;
 //  * M5 model-tree training and prediction at online training-set sizes;
 //  * bagging ensemble fit (k=10) and EI sweep over the full 198-point space;
 //  * KPI monitor per-commit cost.
@@ -112,6 +112,34 @@ void BM_StmNestedSpawnMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(children));
 }
 BENCHMARK(BM_StmNestedSpawnMerge)->Arg(2)->Arg(8);
+
+// The array-nested shape: 4 sibling children of one root, 4,096 reads each
+// from the global chain, so nested reads and the merge of their read sets
+// dominate. Items are reads.
+void BM_StmNestedReads(benchmark::State& state) {
+  constexpr std::size_t kChildren = 4;
+  constexpr std::size_t kReads = 4096;
+  stm::Stm stm{bench_config()};
+  stm::TArray<int> arr{kChildren * kReads, 1};
+  for (auto _ : state) {
+    stm.run_top([&](stm::Tx& tx) {
+      std::vector<std::function<void(stm::Tx&)>> kids;
+      kids.reserve(kChildren);
+      for (std::size_t k = 0; k < kChildren; ++k) {
+        kids.emplace_back([&arr, k](stm::Tx& child) {
+          long sum = 0;
+          for (std::size_t i = k * kReads; i < (k + 1) * kReads; ++i) {
+            sum += arr.read(child, i);
+          }
+          benchmark::DoNotOptimize(sum);
+        });
+      }
+      tx.run_children(std::move(kids));
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(kChildren * kReads));
+}
+BENCHMARK(BM_StmNestedReads)->UseRealTime();
 
 ml::Dataset make_training_set(std::size_t n) {
   util::Rng rng{11};

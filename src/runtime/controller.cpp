@@ -1,10 +1,19 @@
 #include "runtime/controller.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/failpoint.hpp"
 
 namespace autopn::runtime {
+
+namespace {
+
+/// Floor of the sequential inter-commit gap the live adaptive timeout scales
+/// from (see tune()).
+constexpr double kMinReferenceGapSeconds = 1e-3;
+
+}  // namespace
 
 TuningController::TuningController(stm::Stm& stm,
                                    std::unique_ptr<opt::Optimizer> optimizer,
@@ -190,12 +199,16 @@ TuningReport TuningController::tune() {
     }
 
     // Learn the adaptive-timeout reference from the sequential configuration
-    // (always part of AutoPN's biased initial samples).
+    // (always part of AutoPN's biased initial samples). Live commit gaps
+    // below a millisecond measure thread scheduling, not the configuration:
+    // from a faster reference the timeout would cut every window whose
+    // drivers sit out one scheduler time slice, healthy or not.
     if (proposal->t == 1 && proposal->c == 1 && m.throughput > 0.0) {
+      const double reference = std::min(m.throughput, 1.0 / kMinReferenceGapSeconds);
       if (auto* adaptive = dynamic_cast<CvAdaptivePolicy*>(policy_.get())) {
-        adaptive->set_reference_throughput(m.throughput);
+        adaptive->set_reference_throughput(reference);
       } else if (auto* wpnoc = dynamic_cast<WpnocPolicy*>(policy_.get())) {
-        wpnoc->set_reference_throughput(m.throughput);
+        wpnoc->set_reference_throughput(reference);
       }
     }
   }

@@ -109,8 +109,6 @@ void Stm::run_top(const std::function<void(Tx&)>& body,
     phase.emplace(normal_phase_, escalated_waiting_);
     SnapshotRegistry::Handle snapshot = snapshots_.acquire();
     Tx root{*this, nullptr, snapshot.snapshot()};
-    root.tree_gate_ = std::make_unique<util::ResizableSemaphore>(
-        child_limit_.load(std::memory_order_relaxed));
     try {
       body(root);
       root.commit_top_level();
@@ -151,8 +149,6 @@ void Stm::run_top_escalated(const std::function<void(Tx&)>& body,
     SnapshotRegistry::Handle snapshot = snapshots_.acquire();
     Tx root{*this, nullptr, snapshot.snapshot()};
     root.escalated_ = true;
-    root.tree_gate_ = std::make_unique<util::ResizableSemaphore>(
-        child_limit_.load(std::memory_order_relaxed));
     try {
       body(root);
       root.commit_top_level();
@@ -176,8 +172,6 @@ void Stm::run_read_only_impl(const std::function<void(Tx&)>& body) {
   SnapshotRegistry::Handle snapshot = snapshots_.acquire();
   Tx root{*this, nullptr, snapshot.snapshot()};
   root.read_only_ = true;
-  root.tree_gate_ = std::make_unique<util::ResizableSemaphore>(
-      child_limit_.load(std::memory_order_relaxed));
   body(root);  // snapshot reads cannot conflict: no retry loop, no validation
   stats_.bump_top_commit();
   notify_commit();

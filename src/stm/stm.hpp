@@ -9,8 +9,9 @@
 // This is the C++ counterpart of JVSTM extended with the paper's actuator
 // hooks: begin/commit of top-level transactions pass through a resizable
 // semaphore of capacity t; child spawns pass through a per-tree semaphore of
-// capacity c (created per top-level attempt from the current setting, so
-// reconfigurations drain naturally and never interrupt running transactions).
+// capacity c (created on an attempt's first spawn from the current setting,
+// so reconfigurations drain naturally and never interrupt running
+// transactions, and trees that never spawn never allocate one).
 //
 // Stm itself owns no serialization state: commit ordering lives in the
 // CommitManager, snapshot tracking in the SnapshotRegistry, and statistics
@@ -150,7 +151,7 @@ class Stm {
   /// Sets the maximum number of concurrent top-level transactions (t >= 1).
   void set_top_limit(std::size_t t);
   /// Sets the maximum number of concurrent nested transactions per tree
-  /// (c >= 1); applies to trees started after the call.
+  /// (c >= 1); applies to trees whose first spawn comes after the call.
   void set_child_limit(std::size_t c);
   [[nodiscard]] std::size_t top_limit() const { return top_gate_.capacity(); }
   [[nodiscard]] std::size_t child_limit() const {

@@ -22,7 +22,69 @@ auto find_owner(Owners& owners, const void* owner) {
                       [owner](const auto& pair) { return pair.first == owner; });
 }
 
+/// A non-owning handle on a value the snapshot registry keeps alive for the
+/// attempt (aliasing constructor over an empty owner: no control block, no
+/// reference count).
+std::shared_ptr<const void> borrowed(const void* value) {
+  return {std::shared_ptr<const void>{}, value};
+}
+
+/// Fibonacci hash of a box address onto `mask + 1` slots.
+std::size_t slot_of(const VBoxBase* box, std::size_t mask) {
+  const auto bits = reinterpret_cast<std::uintptr_t>(box);
+  return static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+}
+
 }  // namespace
+
+// ---- FlatReadSet -----------------------------------------------------------
+
+const void* const* FlatReadSet::find(const VBoxBase* box) {
+  if (boxes_.size() <= kScanMax) {
+    for (std::size_t i = 0; i < boxes_.size(); ++i) {
+      if (boxes_[i] == box) return &values_[i];
+    }
+    return nullptr;
+  }
+  index_tail();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = slot_of(box, mask);; i = (i + 1) & mask) {
+    const std::uint32_t slot = slots_[i];
+    if (slot == 0) return nullptr;
+    if (boxes_[slot - 1] == box) return &values_[slot - 1];
+  }
+}
+
+void FlatReadSet::append_all(const FlatReadSet& other) {
+  boxes_.insert(boxes_.end(), other.boxes_.begin(), other.boxes_.end());
+  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+}
+
+void FlatReadSet::index_tail() {
+  if (indexed_ == boxes_.size()) return;
+  if (2 * boxes_.size() > slots_.size()) {
+    std::size_t capacity = std::max<std::size_t>(slots_.size(), 4 * kScanMax);
+    while (2 * boxes_.size() > capacity) capacity *= 2;
+    slots_.assign(capacity, 0);
+    indexed_ = 0;
+  }
+  for (; indexed_ < boxes_.size(); ++indexed_) index_one(indexed_);
+}
+
+void FlatReadSet::index_one(std::size_t pos) {
+  const VBoxBase* box = boxes_[pos];
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = slot_of(box, mask);; i = (i + 1) & mask) {
+    const std::uint32_t slot = slots_[i];
+    if (slot == 0) {
+      slots_[i] = static_cast<std::uint32_t>(pos + 1);
+      return;
+    }
+    if (boxes_[slot - 1] == box) return;  // a duplicate keeps the first entry
+  }
+}
+
+// ---- Tx --------------------------------------------------------------------
 
 Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot)
     : stm_(&stm),
@@ -31,7 +93,7 @@ Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot)
       snapshot_(snapshot),
       depth_(parent != nullptr ? parent->depth_ + 1 : 0) {}
 
-Tx::ReadEntry Tx::resolve_above(VBoxBase* box) {
+std::optional<Tx::ReadEntry> Tx::resolve_above(VBoxBase* box) {
   ReadEntry entry;
   // Deltas found on the way down to a base value, nearest ancestor first.
   // Cloned under the owning ancestor's mutex: the live object keeps growing
@@ -40,6 +102,10 @@ Tx::ReadEntry Tx::resolve_above(VBoxBase* box) {
   std::shared_ptr<const void> base;
   bool have_base = false;
   for (Tx* anc = parent_; anc != nullptr; anc = anc->parent_) {
+    // Relaxed: a stale 0 only orders this read before a sibling's merge,
+    // which that merge's "entry appeared after our read" check catches; any
+    // entry actually consumed is read under the mutex below.
+    if (anc->published_writes_.load(std::memory_order_relaxed) == 0) continue;
     std::scoped_lock lock{anc->merge_mutex_};
     auto it = anc->writes_.find(box);
     if (it == anc->writes_.end()) continue;
@@ -52,12 +118,11 @@ Tx::ReadEntry Tx::resolve_above(VBoxBase* box) {
     have_base = true;
     break;
   }
+  if (entry.owners.empty()) return std::nullopt;  // plain: the global value
   if (!have_base) {
-    const Body* body = box->body_at(root_->snapshot_);
-    if (body == nullptr && pending.empty()) {
-      throw std::logic_error{"transactional read of an uninitialized VBox"};
+    if (const Body* body = box->body_at(root_->snapshot_); body != nullptr) {
+      base = body->value.read();
     }
-    if (body != nullptr) base = body->value.read();
     entry.global_base = true;
   }
   // Materialize outermost-first so ops apply in tree serialization order;
@@ -73,17 +138,48 @@ Tx::ReadEntry Tx::resolve_above(VBoxBase* box) {
   return entry;
 }
 
-const Tx::ReadEntry& Tx::base_entry(
-    VBoxBase* box, std::unordered_map<VBoxBase*, ReadEntry>& cache) {
-  if (auto it = cache.find(box); it != cache.end()) return it->second;
-  // The sibling cache may already pin a resolution for this box; reuse it so
-  // exact and semantic reads within one attempt always agree (and an exact
-  // read silently promotes an earlier semantic resolution).
-  auto& other = (&cache == &reads_) ? sem_reads_ : reads_;
-  if (auto it = other.find(box); it != other.end()) {
-    return cache.emplace(box, it->second).first->second;
+const void* Tx::global_value(const VBoxBase* box) const {
+  const Body* body = box->body_at(root_->snapshot_);
+  if (body == nullptr) {
+    throw std::logic_error{"transactional read of an uninitialized VBox"};
   }
-  return cache.emplace(box, resolve_above(box)).first->second;
+  return body->value.read().get();
+}
+
+std::shared_ptr<const void> Tx::exact_base(VBoxBase* box) {
+  // Cached (repeatable within one attempt regardless of concurrent sibling
+  // merges — the conflict surfaces at commit-time validation).
+  if (const void* const* value = flat_reads_.find(box)) return borrowed(*value);
+  if (auto it = reads_.find(box); it != reads_.end()) return it->second.value;
+  // A semantic resolution may already pin what this attempt saw of the box;
+  // reuse it so exact and semantic reads always agree (the exact read
+  // promotes it).
+  std::optional<ReadEntry> entry;
+  if (auto it = sem_reads_.find(box); it != sem_reads_.end()) {
+    entry = it->second;
+  } else {
+    entry = resolve_above(box);
+  }
+  if (!entry || entry->owners.empty()) {
+    const void* value = entry ? entry->value.get() : global_value(box);
+    flat_reads_.append(box, value);
+    return borrowed(value);
+  }
+  return reads_.emplace(box, std::move(*entry)).first->second.value;
+}
+
+std::shared_ptr<const void> Tx::semantic_base(VBoxBase* box) {
+  if (auto it = sem_reads_.find(box); it != sem_reads_.end()) return it->second.value;
+  std::optional<ReadEntry> entry;
+  if (const void* const* value = flat_reads_.find(box)) {
+    entry = ReadEntry{borrowed(*value), {}, true, {}};
+  } else if (auto it = reads_.find(box); it != reads_.end()) {
+    entry = it->second;
+  } else {
+    entry = resolve_above(box);
+    if (!entry) entry = ReadEntry{borrowed(global_value(box)), {}, true, {}};
+  }
+  return sem_reads_.emplace(box, std::move(*entry)).first->second.value;
 }
 
 std::shared_ptr<const void> Tx::read_raw(const VBoxBase& cbox) {
@@ -95,13 +191,11 @@ std::shared_ptr<const void> Tx::read_raw(const VBoxBase& cbox) {
     if (it->second.delta == nullptr) return it->second.value;
     // Delta-only entry: the result also depends on the base beneath it, so
     // an exact read of the base is recorded.
-    const ReadEntry& base = base_entry(box, reads_);
-    return it->second.delta->apply(base.value.get(), 0);
+    return it->second.delta->apply(exact_base(box).get(), 0);
   }
-  // 2.–4. cached (repeatable within one attempt regardless of concurrent
-  // sibling merges — the conflict surfaces at commit-time validation), else
-  // nearest-ancestor writes towards the root, else the global chain.
-  return base_entry(box, reads_).value;
+  // 2.–4. cached, else nearest-ancestor writes towards the root, else the
+  // global chain.
+  return exact_base(box);
 }
 
 std::shared_ptr<const void> Tx::read_semantic(const VBoxBase& cbox) {
@@ -110,10 +204,9 @@ std::shared_ptr<const void> Tx::read_semantic(const VBoxBase& cbox) {
 
   if (auto it = writes_.find(box); it != writes_.end()) {
     if (it->second.delta == nullptr) return it->second.value;
-    const ReadEntry& base = base_entry(box, sem_reads_);
-    return it->second.delta->apply(base.value.get(), 0);
+    return it->second.delta->apply(semantic_base(box).get(), 0);
   }
-  return base_entry(box, sem_reads_).value;
+  return semantic_base(box);
 }
 
 void Tx::write_raw(const VBoxBase& cbox, std::shared_ptr<const void> value) {
@@ -156,7 +249,7 @@ void Tx::add_predicate(const VBoxBase& cbox,
                        std::shared_ptr<const PredicateBase> predicate) {
   auto* box = const_cast<VBoxBase*>(&cbox);
   // An exact read of the box subsumes any predicate over its value.
-  if (reads_.contains(box)) return;
+  if (reads_.contains(box) || flat_reads_.find(box) != nullptr) return;
   auto it = sem_reads_.find(box);
   if (it == sem_reads_.end()) {
     throw std::logic_error{"add_predicate without a prior read_semantic"};
@@ -217,7 +310,11 @@ void Tx::commit_into_parent() {
   //  * boxes resolved without the parent's involvement must not have
   //    appeared in the parent's write set at all (had they been there at
   //    read time, the ancestor walk would have found them first, so presence
-  //    now proves a sibling wrote after our read).
+  //    now proves a sibling wrote after our read). Flat reads are all of
+  //    this kind.
+  if (flat_reads_.intersects(parent->writes_)) {
+    throw ConflictError{ConflictKind::kSiblingWrite};
+  }
   for (auto& [box, read_entry] : reads_) {
     auto owner_it = find_owner(read_entry.owners, parent);
     auto write_it = parent->writes_.find(box);
@@ -233,7 +330,11 @@ void Tx::commit_into_parent() {
   // Propagation-collision pre-check: if the parent already tracks a read of
   // the same box with *different* provenance, the tree observed the box in
   // two distinct states — retry this child so it re-reads the current one
-  // (kStaleReRead). Checked before any mutation so the throw is clean.
+  // (kStaleReRead). Checked before any mutation so the throw is clean. A
+  // flat read is plain; every entry in the parent's reads_ is not.
+  if (flat_reads_.intersects(parent->reads_)) {
+    throw ConflictError{ConflictKind::kStaleReRead};
+  }
   for (auto& [box, read_entry] : reads_) {
     OwnerList remaining = read_entry.owners;
     if (auto owner_it = find_owner(remaining, parent); owner_it != remaining.end()) {
@@ -245,6 +346,8 @@ void Tx::commit_into_parent() {
           it->second.global_base != read_entry.global_base) {
         throw ConflictError{ConflictKind::kStaleReRead};
       }
+    } else if (!remaining.empty() && parent->flat_reads_.find(box) != nullptr) {
+      throw ConflictError{ConflictKind::kStaleReRead};
     }
   }
   // Predicates: re-evaluate semantically instead of comparing stamps. A
@@ -312,13 +415,22 @@ void Tx::commit_into_parent() {
   // parent's own tentative write are discharged here: the stamp/overlap
   // check above was their last obligation — later siblings serialize after
   // this child, and the parent itself resumes only after all children join.
+  // An entry left with no owner but a global base is plain at the parent.
+  // Its flat value is the committed one, not this child's materialization:
+  // the parent only reads it as the base beneath its own pending delta.
+  parent->flat_reads_.append_all(flat_reads_);
   for (auto& [box, read_entry] : reads_) {
     if (auto owner_it = find_owner(read_entry.owners, parent);
         owner_it != read_entry.owners.end()) {
       read_entry.owners.erase(owner_it);
     }
-    if (read_entry.owners.empty() && !read_entry.global_base) continue;
-    parent->reads_.emplace(box, std::move(read_entry));
+    if (!read_entry.owners.empty()) {
+      parent->reads_.emplace(box, std::move(read_entry));
+    } else if (read_entry.global_base) {
+      const Body* body = box->body_at(root_->snapshot_);
+      parent->flat_reads_.append(
+          box, body != nullptr ? body->value.read().get() : nullptr);
+    }
   }
   for (auto& pred_entry : preds_) {
     if (auto owner_it = find_owner(pred_entry.owners, parent);
@@ -335,6 +447,7 @@ void Tx::commit_into_parent() {
         });
     if (!duplicate) parent->preds_.push_back(std::move(pred_entry));
   }
+  parent->published_writes_.store(parent->writes_.size(), std::memory_order_relaxed);
 }
 
 void Tx::run_children(std::vector<std::function<void(Tx&)>> bodies) {
@@ -343,6 +456,15 @@ void Tx::run_children(std::vector<std::function<void(Tx&)>> bodies) {
 
   util::WaitGroup wait_group;
   wait_group.add(bodies.size());
+
+  // Only the root's first spawn gets here without a gate: nested callers
+  // exist only inside a batch the root already started.
+  if (root_->tree_gate_ == nullptr) {
+    root_->tree_gate_ = std::make_unique<util::ResizableSemaphore>(stm_->child_limit());
+  }
+  // Children skip this level's lock while it publishes no writes. No child
+  // of this transaction runs yet, so the count is exact.
+  published_writes_.store(writes_.size(), std::memory_order_relaxed);
 
   // A nested caller holds a tree-gate token itself; release it while blocked
   // waiting for children so the configured limit c counts *running* nested
@@ -391,12 +513,13 @@ void Tx::run_children(std::vector<std::function<void(Tx&)>> bodies) {
     });
   }
 
-  // Help drain the nested pool while waiting; required for progress when the
+  // Help drain the nested pool before each wait, so a child still queued
+  // behind busy workers runs here at once; required for progress when the
   // pool is smaller than the fan-out (e.g. single-core machines).
-  while (!wait_group.wait_for(200us)) {
+  do {
     while (stm_->pool().try_run_one()) {
     }
-  }
+  } while (!wait_group.wait_for(200us));
 
   if (released_own_token) stm_->acquire_child_token(*root_->tree_gate_);
   if (first_error) std::rethrow_exception(first_error);
@@ -424,14 +547,11 @@ void Tx::commit_top_level() {
   // the commit manager; the serialization protocol (global lock vs lock-free
   // helping) is entirely the manager's concern. By construction every
   // surviving entry at the root is anchored on committed state: owner lists
-  // were popped level by level on the way up, and tree-local entries were
-  // discharged at their owning level.
+  // were popped level by level on the way up (so the root's exact reads are
+  // all flat), and tree-local entries were discharged at their owning level.
   CommitRequest request;
   request.snapshot = snapshot_;
-  request.read_boxes.reserve(reads_.size());
-  for (const auto& [box, read_entry] : reads_) {
-    if (read_entry.global_base) request.read_boxes.push_back(box);
-  }
+  request.read_boxes = flat_reads_.take_boxes();
   request.predicates.reserve(preds_.size());
   for (auto& pred_entry : preds_) {
     if (pred_entry.global_base) {

@@ -13,17 +13,23 @@
 // Read resolution order for a transaction X reading box B:
 //   1. X's own write set (deltas materialized over the levels below);
 //   2. X's cached reads (repeatable reads within one attempt);
-//   3. nearest-ancestor write sets, walking towards the root (each guarded by
-//      the ancestor's merge mutex, since X's siblings commit-merge into those
-//      sets concurrently);
+//   3. nearest-ancestor write sets, walking towards the root. An ancestor
+//      suspended in run_children publishes its write-set size; one that
+//      publishes 0 is skipped without locking, otherwise its merge mutex is
+//      taken (X's siblings commit-merge into that set concurrently). A
+//      skipped ancestor that gains an entry for B after the skip is caught
+//      at merge time, exactly as a write merged after a locked lookup is:
+//      an entry that appeared after the read aborts with kSiblingWrite;
 //   4. the global version chain at the root snapshot.
 //
 // Two kinds of read are tracked (stm/predicate.hpp):
-//   * exact reads (read_raw) — the classic box-granularity entry: the read
-//     entry remembers every ancestor write it consumed (owner + stamp) and
-//     whether it bottomed out in the global chain, and commit-time
-//     revalidation requires the box untouched (stamp equality at each merge
-//     level, version <= snapshot at top level);
+//   * exact reads (read_raw) — the classic box-granularity entry. The common
+//     plain read, which consumed no ancestor entry and bottomed out in the
+//     global chain, is a flat {box, borrowed value} pair (FlatReadSet); a
+//     read that consumed ancestor writes keeps a ReadEntry remembering each
+//     of them (owner + stamp). Commit-time revalidation requires the box
+//     untouched (stamp equality at each merge level, no entry appearing at a
+//     level the read did not consume, version <= snapshot at top level);
 //   * semantic reads (read_semantic + add_predicate) — the container
 //     registers a PredicateBase instead; revalidation re-evaluates the
 //     predicate against the then-current value at each serialization point,
@@ -34,19 +40,23 @@
 // predicates (overlaps/holds against what siblings merged since) — deltas
 // compose by op-log concatenation with fresh stamps. Reads and predicates of
 // higher ancestors and of global state are propagated upwards and validated
-// when the enclosing transaction itself commits (compositional validation).
-// Top-level commit materializes the global read set, the predicate set and
+// when the enclosing transaction itself commits (compositional validation);
+// the child's flat reads are appended to the parent's as they are, and
+// checked against the parent only when it holds writes or tracked reads.
+// Top-level commit moves the flat read boxes, the predicate set and
 // the write set (values and deltas) into a CommitRequest and hands it to the
 // Stm's pluggable CommitManager, which validates both against the version
 // chains / newest committed values and installs new versions under its
 // serialization protocol (global lock or lock-free helping — see
 // stm/commit_manager.hpp).
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <mutex>
+#include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,6 +69,72 @@
 namespace autopn::stm {
 
 class Stm;
+
+/// The plain exact reads of one transaction attempt: boxes read straight from
+/// the global chain with no ancestor provenance, each with the committed value
+/// it resolved to. The value is borrowed, not owned: the snapshot registry
+/// pins every body at or below the attempt's snapshot (the prune contract in
+/// vbox.hpp), so the pointer stays valid until the attempt ends. Boxes and
+/// values are parallel vectors, so a root hands the boxes to its
+/// CommitRequest without copying. Lookups scan a small set linearly and
+/// otherwise probe an open-addressing index, which covers entries lazily:
+/// appends (own reads, whole child sets on merge) only push to the vectors.
+/// A box may appear twice (two siblings read it); both entries then carry the
+/// same committed value, and the index keeps the first.
+class FlatReadSet {
+ public:
+  /// The value recorded for `box`, or nullptr when the set has no entry.
+  [[nodiscard]] const void* const* find(const VBoxBase* box);
+
+  void append(const VBoxBase* box, const void* value) {
+    boxes_.push_back(box);
+    values_.push_back(value);
+  }
+
+  /// Appends every entry of `other` (a child's set, at merge).
+  void append_all(const FlatReadSet& other);
+
+  /// True when any key of `map` has an entry here; probes whichever side is
+  /// smaller.
+  template <typename Map>
+  [[nodiscard]] bool intersects(const Map& map) {
+    if (map.empty() || boxes_.empty()) return false;
+    if (map.size() < boxes_.size()) {
+      for (const auto& [box, unused] : map) {
+        if (find(box) != nullptr) return true;
+      }
+      return false;
+    }
+    for (const VBoxBase* box : boxes_) {
+      if (map.contains(const_cast<VBoxBase*>(box))) return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return boxes_.size(); }
+
+  /// Moves the boxes out (the root's CommitRequest::read_boxes); the set is
+  /// spent afterwards.
+  [[nodiscard]] std::vector<const VBoxBase*> take_boxes() noexcept {
+    return std::move(boxes_);
+  }
+
+ private:
+  /// Sets up to this many entries are scanned rather than indexed.
+  static constexpr std::size_t kScanMax = 16;
+
+  /// Adds boxes_[indexed_, size()) to the index, growing it to keep the load
+  /// at or below one half.
+  void index_tail();
+  /// Inserts position `pos` unless its box is already indexed.
+  void index_one(std::size_t pos);
+
+  std::vector<const VBoxBase*> boxes_;
+  std::vector<const void*> values_;
+  /// Open-addressing slots (capacity a power of two): position + 1, 0 empty.
+  std::vector<std::uint32_t> slots_;
+  std::size_t indexed_ = 0;  ///< boxes_[0, indexed_) are in slots_
+};
 
 /// Transaction handle passed to user code. Created and retried by the Stm
 /// runtime (top-level) or by Tx::run_children (nested); never constructed by
@@ -89,7 +165,9 @@ class Tx {
 
   /// Untyped transactional read; returns the value's erased pointer and
   /// records an exact (box-granularity) read. VBox<T>::read is the typed
-  /// entry point.
+  /// entry point. The pointer need not own the value (a plain read borrows
+  /// the committed body, without a reference-count bump): use it within the
+  /// attempt and copy out what must outlive it.
   [[nodiscard]] std::shared_ptr<const void> read_raw(const VBoxBase& box);
 
   /// Untyped transactional write (buffered full overwrite).
@@ -101,7 +179,8 @@ class Tx {
   /// deltas materialized) WITHOUT recording an exact read. The caller must
   /// follow up with add_predicate() describing what it actually depends on;
   /// the resolution provenance is cached so the predicate can be anchored at
-  /// the level whose tentative write it consumed.
+  /// the level whose tentative write it consumed. The pointer may borrow,
+  /// as read_raw's does.
   [[nodiscard]] std::shared_ptr<const void> read_semantic(const VBoxBase& box);
 
   /// Appends a datatype op log to the box's write entry (composing with any
@@ -134,8 +213,10 @@ class Tx {
   /// Number of entries in the write set (diagnostics).
   [[nodiscard]] std::size_t write_set_size() const noexcept { return writes_.size(); }
 
-  /// Number of exact read-set entries (diagnostics).
-  [[nodiscard]] std::size_t read_set_size() const noexcept { return reads_.size(); }
+  /// Number of exact read-set entries, flat and tracked (diagnostics).
+  [[nodiscard]] std::size_t read_set_size() const noexcept {
+    return flat_reads_.size() + reads_.size();
+  }
 
   /// Number of registered semantic predicates (diagnostics).
   [[nodiscard]] std::size_t predicate_count() const noexcept { return preds_.size(); }
@@ -157,11 +238,12 @@ class Tx {
   /// first: (owning transaction, its entry's stamp at read time).
   using OwnerList = std::vector<std::pair<Tx*, std::uint64_t>>;
 
-  /// One resolved read: the cached materialized value (repeatable within the
-  /// attempt) plus provenance for commit-time revalidation. Exact entries
-  /// revalidate structurally (stamp per owner level, version at top);
-  /// semantic resolutions share the struct but live in sem_reads_ and are
-  /// revalidated through predicates instead.
+  /// One resolved read with provenance: the cached materialized value
+  /// (repeatable within the attempt) plus what commit-time revalidation
+  /// needs. Exact entries that consumed an ancestor write live in reads_ and
+  /// revalidate structurally (stamp per owner level, version at top); plain
+  /// exact reads live in flat_reads_ instead. Semantic resolutions share the
+  /// struct but live in sem_reads_ and are revalidated through predicates.
   struct ReadEntry {
     std::shared_ptr<const void> value;
     OwnerList owners;
@@ -182,14 +264,23 @@ class Tx {
 
   /// Resolves the value visible to this transaction ABOVE its own write set:
   /// nearest-ancestor entries (materializing pending deltas) down to the
-  /// global chain at the root snapshot. Fills owners/global_base provenance.
-  [[nodiscard]] ReadEntry resolve_above(VBoxBase* box);
+  /// global chain at the root snapshot, with owners/global_base provenance.
+  /// Returns nullopt for a plain read — no ancestor holds an entry, so the
+  /// value is the global one (global_value).
+  [[nodiscard]] std::optional<ReadEntry> resolve_above(VBoxBase* box);
 
-  /// Shared body of read_raw/read_semantic: the cached-or-resolved base
-  /// value for `box` from the given cache map, with this tx's own pending
-  /// delta (if any) materialized on top of the returned value by the caller.
-  [[nodiscard]] const ReadEntry& base_entry(
-      VBoxBase* box, std::unordered_map<VBoxBase*, ReadEntry>& cache);
+  /// The committed value of `box` at the root snapshot, borrowed (see
+  /// FlatReadSet). Throws std::logic_error for a never-initialized box.
+  [[nodiscard]] const void* global_value(const VBoxBase* box) const;
+
+  /// The cached-or-resolved value beneath this tx's own write set for an
+  /// exact read (read_raw materializes its own pending delta on top).
+  /// Records the read: flat when plain, in reads_ otherwise.
+  [[nodiscard]] std::shared_ptr<const void> exact_base(VBoxBase* box);
+
+  /// The same for a semantic resolution, cached with provenance in
+  /// sem_reads_ (never recorded as an exact read).
+  [[nodiscard]] std::shared_ptr<const void> semantic_base(VBoxBase* box);
 
   /// Validates this child's exact reads and predicates against the parent's
   /// current write set and merges writes/reads/predicates upwards. Throws
@@ -206,13 +297,17 @@ class Tx {
   std::uint64_t snapshot_;
   int depth_;
 
-  // merge_mutex_ guards writes_/reads_/sem_reads_/preds_/next_stamp_ when
-  // the transaction is suspended in run_children and its children read from
-  // or merge into it. While the transaction itself runs, nobody else touches
-  // its sets, but children lock unconditionally for simplicity (uncontended
-  // fast path).
+  // merge_mutex_ guards the read, write and predicate sets and next_stamp_
+  // when the transaction is suspended in run_children and its children read
+  // from or merge into it. While the transaction itself runs, nobody else
+  // touches its sets.
   std::mutex merge_mutex_;
   std::unordered_map<VBoxBase*, WriteEntry> writes_ AUTOPN_GUARDED_BY(merge_mutex_);
+  /// writes_.size() as last published: on entry to run_children and under
+  /// merge_mutex_ after each child merge. A descendant reading 0 skips this
+  /// level's lock (step 3 of the resolution order in the file comment).
+  std::atomic<std::size_t> published_writes_{0};
+  FlatReadSet flat_reads_ AUTOPN_GUARDED_BY(merge_mutex_);
   std::unordered_map<VBoxBase*, ReadEntry> reads_ AUTOPN_GUARDED_BY(merge_mutex_);
   /// Semantic resolution cache: same shape as reads_, but carries no
   /// revalidation duty itself (the registered predicates do) and is never
@@ -221,7 +316,9 @@ class Tx {
   std::vector<PredEntry> preds_ AUTOPN_GUARDED_BY(merge_mutex_);
   std::uint64_t next_stamp_ AUTOPN_GUARDED_BY(merge_mutex_) = 1;
 
-  /// Per-tree child-concurrency gate (capacity c); owned by the root.
+  /// Per-tree child-concurrency gate (capacity c); owned by the root and
+  /// created on the tree's first run_children, so read-only and childless
+  /// transactions never allocate one.
   std::unique_ptr<util::ResizableSemaphore> tree_gate_;
 
   /// Set on roots created by Stm::read_only(); writes anywhere in the tree

@@ -67,14 +67,14 @@ void ThreadPool::run_and_wait(std::vector<std::function<void()>> tasks) {
       wg->done();
     });
   }
-  // Help drain the queue while waiting (steal any queued task; helping others
-  // still makes global progress and avoids deadlock when callers block inside
-  // workers).
+  // Help drain the queue before each wait (steal any queued task; helping
+  // others still makes global progress and avoids deadlock when callers block
+  // inside workers).
   using namespace std::chrono_literals;
-  while (!wg->wait_for(200us)) {
+  do {
     while (try_run_one()) {
     }
-  }
+  } while (!wg->wait_for(200us));
 }
 
 }  // namespace autopn::util

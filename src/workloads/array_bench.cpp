@@ -17,6 +17,7 @@ void ArrayBenchmark::run_one(util::Rng& rng) {
   // deterministically per attempt without sharing mutable state.
   const std::uint64_t tx_seed = rng();
   stm_->run_top([&](stm::Tx& tx) {
+    if (attempt_hook_) attempt_hook_();
     const std::size_t segments = stm_->child_limit();
     const std::size_t n = data_.size();
     const std::size_t chunk = (n + segments - 1) / segments;

@@ -13,6 +13,7 @@
 // children) is the pessimum of scan-only workloads (paper Fig 1b).
 
 #include <cstdint>
+#include <functional>
 
 #include "stm/containers.hpp"
 #include "stm/stm.hpp"
@@ -49,11 +50,17 @@ class ArrayBenchmark {
 
   [[nodiscard]] const ArrayConfig& config() const noexcept { return config_; }
 
+  /// Test seam: when set, runs at the start of every attempt of run_one's
+  /// transaction, once the attempt holds its snapshot. Tests use it to pin
+  /// concurrent attempts into overlapping (say, behind a latch).
+  void set_attempt_hook(std::function<void()> hook) { attempt_hook_ = std::move(hook); }
+
  private:
   stm::Stm* stm_;
   ArrayConfig config_;
   stm::TArray<long long> data_;
   stm::VBox<long long> update_counter_;
+  std::function<void()> attempt_hook_;
 };
 
 }  // namespace autopn::workloads

@@ -73,6 +73,7 @@ long long TpccBenchmark::new_order(int warehouse, int district, int customer,
   const std::uint64_t tx_seed = rng();
   long long order_total = 0;
   stm_->run_top([&](stm::Tx& tx) {
+    if (new_order_hook_) new_order_hook_();
     util::Rng order_rng{tx_seed};
     const std::size_t line_count =
         config_.min_order_lines +

@@ -9,6 +9,7 @@
 // means hotter districts and stock rows).
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "stm/containers.hpp"
@@ -109,6 +110,14 @@ class TpccBenchmark {
 
   [[nodiscard]] const TpccConfig& config() const noexcept { return config_; }
 
+  /// Test seam: when set, runs at the start of every attempt of
+  /// new_order's transaction, once the attempt holds its snapshot. Tests
+  /// use it to pin concurrent attempts into overlapping (say, behind a
+  /// latch).
+  void set_new_order_hook(std::function<void()> hook) {
+    new_order_hook_ = std::move(hook);
+  }
+
   /// Committed new-order transactions (for throughput accounting).
   [[nodiscard]] long long new_orders_committed() const {
     return new_orders_.peek();
@@ -131,6 +140,7 @@ class TpccBenchmark {
   stm::VBox<long long> new_orders_;
   stm::VBox<long long> total_payments_;  ///< sum of all payment amounts
   int initial_stock_quantity_ = 1000;
+  std::function<void()> new_order_hook_;
 };
 
 }  // namespace autopn::workloads

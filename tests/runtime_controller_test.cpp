@@ -331,6 +331,11 @@ TEST(Controller, LatencyKpiUsesRequestLatencies) {
   for (const auto& obs : report.observations) EXPECT_NEAR(obs.kpi, 250.0, 1e-6);
 }
 
+/// A no-improvement window no sweep of the 8-point space can fill, so the
+/// grid proposes every configuration — the t > 2 ones these cases veto
+/// included — however the live KPIs happen to compare.
+constexpr std::size_t kExhaustive = 8;
+
 /// Advisor stub: predicts a high KPI for low-t configurations and a low one
 /// for everything else (any fixed scale works — the controller only ever
 /// compares two predictions).
@@ -355,7 +360,7 @@ TEST(Controller, ModelVetoBlocksPredictedRegressions) {
   params.model_veto_band = 0.5;
   params.model_veto_blocks = true;
   TuningController controller{
-      stm, std::make_unique<opt::GridSearch>(space),
+      stm, std::make_unique<opt::GridSearch>(space, kExhaustive),
       std::make_unique<FixedTimePolicy>(0.02), clock, params};
   LowTAdvisor advisor;
   controller.set_config_advisor(&advisor);
@@ -388,7 +393,7 @@ TEST(Controller, ModelVetoLogsWithoutBlockingByDefault) {
   params.max_window_seconds = 1.0;
   params.model_veto_band = 0.5;  // model_veto_blocks stays false
   TuningController controller{
-      stm, std::make_unique<opt::GridSearch>(space),
+      stm, std::make_unique<opt::GridSearch>(space, kExhaustive),
       std::make_unique<FixedTimePolicy>(0.02), clock, params};
   LowTAdvisor advisor;
   controller.set_config_advisor(&advisor);

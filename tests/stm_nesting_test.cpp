@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "stm/containers.hpp"
@@ -244,6 +247,235 @@ TEST(Nesting, GrandchildSeesGrandparentTentativeWrite) {
     EXPECT_EQ(seen, 42);
   });
 }
+
+// ---- lock-free ancestor lookup and flat reads ------------------------------
+//
+// A child skips an ancestor that publishes no writes without locking it, and
+// records a plain read as a flat entry. These cases pin, with latches, the
+// interleavings in which a sibling merges into a skipped level after the
+// read; each must still end in the conflict the locked lookup would raise.
+// Only the first attempt of the reading child parks; retries run straight
+// through.
+
+class NestingFlatReads : public ::testing::TestWithParam<CommitStrategy> {
+ protected:
+  StmConfig config() const {
+    StmConfig cfg = nest_config(/*pool=*/2, /*c=*/4);
+    cfg.commit_strategy = GetParam();
+    return cfg;
+  }
+};
+
+/// Blocks until `stm` has counted `n` child commits (a child's commit is
+/// counted once its merge into the parent is complete).
+void await_child_commits(Stm& stm, std::uint64_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{30};
+  while (stm.stats().child_commits < n) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "sibling never merged";
+    std::this_thread::yield();
+  }
+}
+
+TEST_P(NestingFlatReads, SiblingMergeAfterSkippedParentAbortsTheReader) {
+  Stm stm{config()};
+  VBox<int> box{0};
+  std::latch read_done{1};
+  // Values the reading child saw, one row per attempt. Its attempts run one
+  // after another, each ordered after the last by the pool's queue.
+  std::vector<std::vector<int>> observed;
+  int root_attempts = 0;
+  stm.run_top([&](Tx& tx) {
+    ++root_attempts;
+    // The root writes nothing, so it publishes 0 and the reader skips it.
+    tx.run_children({
+        [&](Tx& child) {
+          const std::size_t attempt = observed.size();
+          observed.push_back({box.read(child)});
+          if (attempt == 0) {
+            read_done.count_down();
+            await_child_commits(stm, 1);  // the writer has merged
+          }
+        },
+        [&](Tx& child) {
+          read_done.wait();
+          box.write(child, 7);
+        },
+    });
+  });
+  EXPECT_EQ(root_attempts, 1);
+  // The reader's merge met the writer's entry, which appeared at the root
+  // after the read: kSiblingWrite (the root tracks no reads, so the check
+  // for kStaleReRead cannot be the one that fired).
+  EXPECT_EQ(stm.stats().aborts_sibling, 1u);
+  EXPECT_EQ(observed, (std::vector<std::vector<int>>{{0}, {7}}));
+  EXPECT_EQ(box.peek(), 7);
+}
+
+TEST_P(NestingFlatReads, SiblingMergeAfterSkippedGrandparentAbortsTheReader) {
+  Stm stm{config()};
+  VBox<int> box{0};
+  std::latch read_done{1};
+  // Values the reading child saw, one row per attempt. Its attempts run one
+  // after another, each ordered after the last by the pool's queue.
+  std::vector<std::vector<int>> observed;
+  int root_attempts = 0;
+  stm.run_top([&](Tx& tx) {
+    ++root_attempts;
+    tx.run_children({
+        [&](Tx& parent) {
+          // Neither this parent nor the root writes: the grandchild skips
+          // both levels.
+          parent.run_children({[&](Tx& grandchild) {
+            const std::size_t attempt = observed.size();
+            observed.push_back({box.read(grandchild)});
+            if (attempt == 0) {
+              read_done.count_down();
+              await_child_commits(stm, 1);  // the parent's sibling has merged
+            }
+          }});
+        },
+        [&](Tx& uncle) {
+          read_done.wait();
+          box.write(uncle, 7);
+        },
+    });
+  });
+  EXPECT_EQ(root_attempts, 1);
+  // The grandchild merges cleanly into its parent; the parent then meets the
+  // uncle's entry at the root (kSiblingWrite) and retries, grandchild and
+  // all.
+  EXPECT_EQ(stm.stats().aborts_sibling, 1u);
+  EXPECT_EQ(observed, (std::vector<std::vector<int>>{{0}, {7}}));
+  EXPECT_EQ(box.peek(), 7);
+}
+
+TEST_P(NestingFlatReads, ReReadAfterSiblingMergeReturnsTheFirstValue) {
+  Stm stm{config()};
+  VBox<int> box{0};
+  std::latch read_done{1};
+  // Values the reading child saw, one row per attempt. Its attempts run one
+  // after another, each ordered after the last by the pool's queue.
+  std::vector<std::vector<int>> observed;
+  stm.run_top([&](Tx& tx) {
+    tx.run_children({
+        [&](Tx& child) {
+          const std::size_t attempt = observed.size();
+          observed.push_back({box.read(child)});
+          if (attempt == 0) {
+            read_done.count_down();
+            await_child_commits(stm, 1);
+            // Repeatable within the attempt, although the root now holds
+            // the writer's value.
+            observed[attempt].push_back(box.read(child));
+          }
+        },
+        [&](Tx& child) {
+          read_done.wait();
+          box.write(child, 7);
+        },
+    });
+  });
+  EXPECT_EQ(stm.stats().aborts_sibling, 1u);
+  EXPECT_EQ(observed, (std::vector<std::vector<int>>{{0, 0}, {7}}));
+  EXPECT_EQ(box.peek(), 7);
+}
+
+TEST_P(NestingFlatReads, PlainAndTrackedReadsOfOneBoxMeetAsStaleReRead) {
+  // A parent's first child reads the box plain (no level holds an entry) and
+  // merges that flat read into the parent. The parent's sibling then merges
+  // a write of the box into the root, so the parent's second child resolves
+  // the box through the root's entry: a tracked read. When it merges, the
+  // parent holds the same box in two states — kStaleReRead. Re-reading
+  // cannot cure it, so the child exhausts its retry budget and the conflict
+  // surfaces in the parent, whose own retry reads the box tracked twice.
+  Stm stm{config()};
+  VBox<int> box{0};
+  std::latch first_read{1};
+  std::atomic<bool> first_parent_attempt{true};
+  std::vector<ConflictKind> surfaced;
+  std::vector<int> final_reads(2, -1);
+  stm.run_top([&](Tx& tx) {
+    tx.run_children({
+        [&](Tx& parent) {
+          const bool pin = first_parent_attempt.exchange(false);
+          parent.run_children({[&](Tx& child) {
+            final_reads[0] = box.read(child);
+            if (pin) first_read.count_down();
+          }});
+          if (pin) await_child_commits(stm, 2);  // the first child and the sibling
+          try {
+            parent.run_children({[&](Tx& child) { final_reads[1] = box.read(child); }});
+          } catch (const ConflictError& conflict) {
+            surfaced.push_back(conflict.kind());
+            throw;
+          }
+        },
+        [&](Tx& sibling) {
+          first_read.wait();
+          box.write(sibling, 7);
+        },
+    });
+  });
+  EXPECT_EQ(surfaced, std::vector<ConflictKind>{ConflictKind::kStaleReRead});
+  EXPECT_EQ(final_reads, (std::vector<int>{7, 7}));
+  EXPECT_EQ(box.peek(), 7);
+}
+
+TEST_P(NestingFlatReads, FlatReadMergingAfterTrackedReadOfTheBoxIsStaleReRead) {
+  // The mirror order: a child reads the box plain and parks; the parent's
+  // sibling merges a write of it into the root; a second child resolves it
+  // through that entry and merges first, so the parent tracks the box. The
+  // parked child's flat read then meets the tracked one (kStaleReRead — the
+  // parent has no writes, so kSiblingWrite cannot fire) and its retry reads
+  // the sibling's value.
+  Stm stm{config()};
+  VBox<int> box{0};
+  std::latch plain_read{1};
+  // Values the reading child saw, one row per attempt. Its attempts run one
+  // after another, each ordered after the last by the pool's queue.
+  std::vector<std::vector<int>> observed;
+  std::vector<int> tracked_read;
+  int root_attempts = 0;
+  stm.run_top([&](Tx& tx) {
+    ++root_attempts;
+    tx.run_children({
+        [&](Tx& parent) {
+          parent.run_children({
+              [&](Tx& child) {
+                const std::size_t attempt = observed.size();
+                observed.push_back({box.read(child)});
+                if (attempt == 0) {
+                  plain_read.count_down();
+                  await_child_commits(stm, 2);  // the sibling, then the tracked read
+                }
+              },
+              [&](Tx& child) {
+                await_child_commits(stm, 1);  // the sibling has merged
+                tracked_read.push_back(box.read(child));
+              },
+          });
+        },
+        [&](Tx& sibling) {
+          plain_read.wait();
+          box.write(sibling, 7);
+        },
+    });
+  });
+  EXPECT_EQ(root_attempts, 1);
+  EXPECT_EQ(stm.stats().aborts_sibling, 1u);
+  EXPECT_EQ(observed, (std::vector<std::vector<int>>{{0}, {7}}));
+  EXPECT_EQ(tracked_read, std::vector<int>{7});
+  EXPECT_EQ(box.peek(), 7);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothCommitStrategies, NestingFlatReads,
+                         ::testing::Values(CommitStrategy::kGlobalLock,
+                                           CommitStrategy::kLockFree),
+                         [](const auto& info) {
+                           return info.param == CommitStrategy::kGlobalLock
+                                      ? std::string{"GlobalLock"}
+                                      : std::string{"LockFree"};
+                         });
 
 }  // namespace
 }  // namespace autopn::stm

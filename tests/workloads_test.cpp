@@ -2,6 +2,8 @@
 // under concurrent execution at various (t, c) settings.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -11,6 +13,25 @@
 
 namespace autopn::workloads {
 namespace {
+
+/// Holds the first `n` transaction attempts until all `n` have started. A
+/// thread blocks on its first call until the others arrive, so the first `n`
+/// calls come from `n` distinct threads; with t >= n each holds its snapshot
+/// before any of them can commit, and every later call passes straight
+/// through.
+class OverlapFirstAttempts {
+ public:
+  explicit OverlapFirstAttempts(std::ptrdiff_t n) : n_(n), latch_(n) {}
+
+  void arrive() {
+    if (calls_.fetch_add(1) < n_) latch_.arrive_and_wait();
+  }
+
+ private:
+  const std::ptrdiff_t n_;
+  std::latch latch_;
+  std::atomic<std::ptrdiff_t> calls_{0};
+};
 
 stm::StmConfig cfg(std::size_t top, std::size_t children) {
   stm::StmConfig c;
@@ -62,6 +83,10 @@ TEST(ArrayWorkload, HighUpdateFractionCausesTopLevelConflicts) {
   acfg.array_size = 32;
   acfg.update_fraction = 0.9;
   ArrayBenchmark bench{stm, acfg};
+  // The first attempts of all four threads hold their snapshots before any
+  // of them commits, so the scans overlap however the threads are scheduled.
+  OverlapFirstAttempts overlap{4};
+  bench.set_attempt_hook([&overlap] { overlap.arrive(); });
   std::vector<std::jthread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&bench, t] {
@@ -310,6 +335,8 @@ TEST(TpccWorkload, SingleWarehouseIsHighContention) {
   tcfg.new_order_fraction = 1.0;
   tcfg.payment_fraction = 0.0;
   TpccBenchmark bench{stm, tcfg};
+  OverlapFirstAttempts overlap{4};
+  bench.set_new_order_hook([&overlap] { overlap.arrive(); });
   std::vector<std::jthread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&bench, t] {
